@@ -6,6 +6,9 @@
 // round-trip latency (p50 / p99, the pwrite call including completion)
 // and sustained ops/s, plus the frame counters so a run shows the
 // framed paths really moved frames (and the in-proc path moved none).
+// Every transport runs twice: under the default TO-AGG scheduler, whose
+// 1 ms aggregation window holds each lone write, and with FIFO pinned,
+// so the seam's own cost is reported apart from that modelled hold.
 //
 // Usage: bench_rpc_transport [--quick] [--out FILE]
 //   --quick  1/8th of the ops (CI smoke); same seed and shape
@@ -21,6 +24,7 @@
 #include "common/clock.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "agios/scheduler.hpp"
 #include "fwd/client.hpp"
 #include "fwd/service.hpp"
 #include "rpc/options.hpp"
@@ -37,6 +41,7 @@ constexpr core::JobId kJob = 1;
 
 struct TransportResult {
   std::string name;
+  std::string scheduler;
   double p50_us = 0.0;
   double p99_us = 0.0;
   double ops_per_s = 0.0;
@@ -51,7 +56,8 @@ double counter_sum(telemetry::Registry& reg, const std::string& name) {
   return total;
 }
 
-TransportResult run_transport(rpc::TransportKind kind, int ops) {
+TransportResult run_transport(rpc::TransportKind kind,
+                              agios::SchedulerKind scheduler, int ops) {
   telemetry::Registry reg;
   fwd::ServiceConfig cfg;
   cfg.ion_count = 1;
@@ -65,6 +71,7 @@ TransportResult run_transport(rpc::TransportKind kind, int ops) {
   cfg.ion.op_overhead = 4 * KiB;
   cfg.ion.store_data = false;
   cfg.ion.registry = &reg;
+  cfg.ion.scheduler.kind = scheduler;
   cfg.transport = kind;
   cfg.rpc_seed = kSeed;
   fwd::ForwardingService service(cfg);
@@ -108,6 +115,7 @@ TransportResult run_transport(rpc::TransportKind kind, int ops) {
 
   TransportResult r;
   r.name = rpc::to_string(kind);
+  r.scheduler = agios::to_string(scheduler);
   r.p50_us = percentile(lat_us, 0.50);
   r.p99_us = percentile(lat_us, 0.99);
   r.ops_per_s = static_cast<double>(ops) / elapsed;
@@ -145,28 +153,41 @@ int main(int argc, char** argv) {
   const rpc::TransportKind kinds[] = {rpc::TransportKind::kInProc,
                                       rpc::TransportKind::kShmRing,
                                       rpc::TransportKind::kTcp};
+  const agios::SchedulerKind schedulers[] = {
+      agios::SchedulerKind::TimeWindowAggregation,
+      agios::SchedulerKind::Fifo};
   std::vector<TransportResult> results;
-  for (const auto kind : kinds) results.push_back(run_transport(kind, ops));
+  for (const auto scheduler : schedulers) {
+    for (const auto kind : kinds) {
+      results.push_back(run_transport(kind, scheduler, ops));
+    }
+  }
 
-  Table table({"transport", "p50_us", "p99_us", "ops/s", "frames"});
+  Table table(
+      {"transport", "scheduler", "p50_us", "p99_us", "ops/s", "frames"});
   for (const auto& r : results) {
-    table.add_row({r.name, fixed_str(r.p50_us), fixed_str(r.p99_us),
-                   fixed_str(r.ops_per_s, 0), fixed_str(r.frames, 0)});
+    table.add_row({r.name, r.scheduler, fixed_str(r.p50_us),
+                   fixed_str(r.p99_us), fixed_str(r.ops_per_s, 0),
+                   fixed_str(r.frames, 0)});
   }
   table.print(std::cout);
 
   // The in-proc baseline must stay frameless: the refactor's
   // zero-overhead claim is that the direct port IS the old call path.
-  if (results[0].frames != 0.0) {
-    std::cerr << "in-proc path moved frames; the direct port regressed\n";
-    return 3;
+  for (const auto& r : results) {
+    if (r.name == rpc::to_string(rpc::TransportKind::kInProc) &&
+        r.frames != 0.0) {
+      std::cerr << "in-proc path moved frames; the direct port regressed\n";
+      return 3;
+    }
   }
 
   std::ofstream out(out_path);
   out << "{\n  \"ops\": " << ops << ",\n  \"transports\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
-    out << "    {\"name\": \"" << r.name << "\", \"p50_us\": " << r.p50_us
+    out << "    {\"name\": \"" << r.name << "\", \"scheduler\": \""
+        << r.scheduler << "\", \"p50_us\": " << r.p50_us
         << ", \"p99_us\": " << r.p99_us << ", \"ops_per_s\": "
         << r.ops_per_s << ", \"frames\": " << r.frames << "}"
         << (i + 1 < results.size() ? "," : "") << "\n";

@@ -120,7 +120,10 @@ Payload SlabPool::try_acquire(std::size_t size) {
     {
       MutexLock lk(sc.mu);
       if (!sc.built) {
-        sc.arena = std::make_unique<std::byte[]>(sc.slab_bytes * sc.count);
+        // Left uninitialised: a slab's pages become resident when a
+        // payload first writes them, not when the class is built.
+        sc.arena = std::make_unique_for_overwrite<std::byte[]>(
+            sc.slab_bytes * sc.count);
         sc.free_slots.reserve(sc.count);
         // Pushed in reverse so slab 0 is handed out first (cache-warm
         // reuse order under LIFO pop_back below).

@@ -28,6 +28,7 @@
 
 #include "common/annotations.hpp"
 #include "common/mutex.hpp"
+#include "fwd/request.hpp"
 
 namespace iofa::fwd {
 
@@ -39,6 +40,10 @@ struct CompletionRecord {
   std::size_t value = 0;
   /// Non-null for failure completions (IonDownError etc.).
   std::exception_ptr error;
+  /// The request's completion listener (FwdRequest::sink), told the
+  /// outcome right after `done` settles; may be null.
+  CompletionSink* sink = nullptr;
+  std::uint64_t sink_id = 0;
   /// Which drain counter the record settles: false decrements the
   /// daemon's pending_requests_, true its pending_flushes_.
   bool flush_side = false;

@@ -15,6 +15,43 @@ namespace iofa::fwd {
 
 using namespace std::chrono_literals;
 
+namespace {
+
+/// The completion record for `req`'s outcome: its promise and sink.
+CompletionRecord record_of(FwdRequest& req) {
+  CompletionRecord rec;
+  rec.done = std::move(req.done);
+  rec.sink = req.sink;
+  rec.sink_id = req.sink_id;
+  return rec;
+}
+
+/// Remove [lo, hi) from the disjoint dirty pieces whose seq is at most
+/// `max_seq`; the parts of a piece outside the range keep its seq.
+template <typename Pieces>
+void carve(Pieces& pieces, std::uint64_t lo, std::uint64_t hi,
+           std::uint64_t max_seq) {
+  auto it = pieces.lower_bound(lo);
+  if (it != pieces.begin() && std::prev(it)->second.end > lo) --it;
+  while (it != pieces.end() && it->first < hi) {
+    if (it->second.seq > max_seq) {
+      ++it;
+      continue;
+    }
+    const std::uint64_t p_lo = it->first;
+    const auto piece = it->second;
+    it = pieces.erase(it);
+    if (p_lo < lo) {
+      auto left = piece;
+      left.end = lo;
+      pieces.emplace(p_lo, left);
+    }
+    if (piece.end > hi) it = pieces.emplace(hi, piece).first;
+  }
+}
+
+}  // namespace
+
 bool PathTable::intern(std::uint64_t id, std::string&& path) {
   MutexLock lk(mu_);
   auto [it, inserted] = map_.try_emplace(id);
@@ -269,11 +306,18 @@ void IonDaemon::complete(CompletionRecord rec) {
   if (ring_.try_push(rec)) return;
   // Full ring: fulfil inline (counted). Never blocks the pipeline.
   metrics_.completion_ring_full->add();
+  deliver(rec);
+}
+
+void IonDaemon::deliver(CompletionRecord& rec) {
   if (rec.error) {
     rec.done->set_exception(rec.error);
   } else {
     rec.done->set_value(rec.value);
   }
+  // The sink hears before the drain count drops, so drain() returning
+  // means every outcome has also been handed to its sink.
+  if (rec.sink) rec.sink->on_complete(rec.sink_id, rec.value, rec.error);
   finish_pending(rec.flush_side ? pending_flushes_ : pending_requests_);
 }
 
@@ -294,14 +338,7 @@ void IonDaemon::drainer_loop() {
       ring_.wait_nonempty(1e-3);
       continue;
     }
-    for (auto& rec : batch) {
-      if (rec.error) {
-        rec.done->set_exception(rec.error);
-      } else {
-        rec.done->set_value(rec.value);
-      }
-      finish_pending(rec.flush_side ? pending_flushes_ : pending_requests_);
-    }
+    for (auto& rec : batch) deliver(rec);
     metrics_.completions_drained->add(batch.size());
   }
 }
@@ -310,8 +347,7 @@ void IonDaemon::fail_request(FwdRequest& req) {
   inflight_bytes_.fetch_sub(req.size);
   metrics_.failed_requests->add();
   if (params_.qos) params_.qos->on_failed(req.tenant);
-  CompletionRecord rec;
-  rec.done = std::move(req.done);
+  CompletionRecord rec = record_of(req);
   rec.error = std::make_exception_ptr(IonDownError(id_));
   complete(std::move(rec));
 }
@@ -345,6 +381,11 @@ void IonDaemon::enqueue_flush(FlushItem item, std::uint64_t file_id) {
       flush_extents_[item.file_id].emplace(
           item.seq, std::make_pair(item.offset, item.offset + item.size));
     }
+  }
+  // Still under flush_enqueue_mu_, so dirty seqs are stamped in enqueue
+  // order, and before the push, so the flush cannot land first.
+  if (!item.fsync_done) {
+    mark_dirty(item.file_id, item.offset, item.size, item.seq);
   }
   pending_flushes_.fetch_add(1);
   flush_shards_[flush_shard_of(file_id)]->queue.push(std::move(item));
@@ -392,8 +433,7 @@ void IonDaemon::worker_loop(std::size_t si) {
       metrics_.expired->add();
       if (params_.qos) params_.qos->on_expired(req.tenant);
       inflight_bytes_.fetch_sub(req.size);
-      CompletionRecord rec;
-      rec.done = std::move(req.done);
+      CompletionRecord rec = record_of(req);
       rec.error = std::make_exception_ptr(RequestExpiredError(id_));
       complete(std::move(rec));
       return;
@@ -415,6 +455,8 @@ void IonDaemon::worker_loop(std::size_t si) {
       FlushItem marker;
       marker.file_id = req.file_id;
       marker.fsync_done = req.done;
+      marker.sink = req.sink;
+      marker.sink_id = req.sink_id;
       marker.tenant = req.tenant;
       enqueue_flush(std::move(marker), req.file_id);
       finish_pending(pending_requests_);
@@ -562,7 +604,6 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
               src.subspan(slice.file_offset - req.offset, slice.size));
         }
       }
-      mark_dirty(req.file_id, req.offset, req.size);
       FlushItem item;
       item.file_id = req.file_id;
       item.offset = req.offset;
@@ -573,6 +614,8 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
         // Ack from the flusher, after the PFS write; the overload
         // accounting (admitted vs failed) moves there with it.
         item.write_done = std::move(req.done);
+        item.sink = req.sink;
+        item.sink_id = req.sink_id;
         item.write_through = true;
         enqueue_flush(std::move(item), req.file_id);
         finish_pending(pending_requests_);
@@ -580,8 +623,7 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
         metrics_.admitted->add();
         if (params_.qos) params_.qos->on_admitted(req.tenant, req.size);
         enqueue_flush(std::move(item), req.file_id);
-        CompletionRecord rec;
-        rec.done = std::move(req.done);
+        CompletionRecord rec = record_of(req);
         rec.value = req.size;
         complete(std::move(rec));
       }
@@ -613,8 +655,7 @@ void IonDaemon::process(Shard& shard, const agios::Dispatch& dispatch,
       }
       metrics_.admitted->add();
       if (params_.qos) params_.qos->on_admitted(req.tenant, req.size);
-      CompletionRecord rec;
-      rec.done = std::move(req.done);
+      CompletionRecord rec = record_of(req);
       rec.value = n;
       complete(std::move(rec));
     }
@@ -636,6 +677,8 @@ void IonDaemon::flush_marker(const FlushItem& item) {
   if (params_.qos) params_.qos->on_admitted(item.tenant, 0);
   CompletionRecord rec;
   rec.done = item.fsync_done;
+  rec.sink = item.sink;
+  rec.sink_id = item.sink_id;
   rec.value = 0;
   rec.flush_side = true;
   complete(std::move(rec));
@@ -664,8 +707,9 @@ void IonDaemon::await_extent_turn(std::uint64_t file_id, std::uint64_t seq,
   }
 }
 
-void IonDaemon::flush_run(std::vector<FlushItem>& run) {
+void IonDaemon::flush_run(std::vector<FlushItem>& run, bool stolen) {
   assert(!run.empty());
+  if (params_.before_flush) params_.before_flush(run.front().seq, stolen);
   const std::uint64_t file_id = run.front().file_id;
   Bytes total = 0;
   for (const auto& item : run) total += item.size;
@@ -711,7 +755,7 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
   // and the completion record. The slab reference is dropped here -
   // payload lifetime ends exactly when the PFS has the bytes.
   auto settle = [&](FlushItem& item, bool flushed) {
-    if (flushed) mark_clean(item.file_id, item.offset, item.size);
+    if (flushed) mark_clean(item.file_id, item.offset, item.size, item.seq);
     {
       MutexLock lk(flush_mu_);
       ++flush_completed_;
@@ -725,6 +769,8 @@ void IonDaemon::flush_run(std::vector<FlushItem>& run) {
     }
     CompletionRecord rec;
     rec.flush_side = true;
+    rec.sink = item.sink;
+    rec.sink_id = item.sink_id;
     if (flushed) {
       metrics_.bytes_flushed->add(item.size);
       rec.done = std::move(item.write_done);
@@ -820,7 +866,7 @@ void IonDaemon::flusher_loop(std::size_t fi) {
       if (auto stolen = try_steal_flush(fi)) {
         std::vector<FlushItem> run;
         run.push_back(std::move(*stolen));
-        flush_run(run);
+        flush_run(run, /*stolen=*/true);
         continue;
       }
     }
@@ -877,47 +923,25 @@ void IonDaemon::flusher_loop(std::size_t fi) {
 }
 
 void IonDaemon::mark_dirty(std::uint64_t file_id, std::uint64_t offset,
-                           std::uint64_t size) {
+                           std::uint64_t size, std::uint64_t seq) {
+  if (size == 0) return;
   MutexLock lk(dirty_mu_);
-  auto& ranges = dirty_[file_id];
-  std::uint64_t lo = offset;
-  std::uint64_t hi = offset + size;
-  // Merge with any overlapping/adjacent intervals.
-  auto it = ranges.lower_bound(lo);
-  if (it != ranges.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second >= lo) it = prev;
-  }
-  while (it != ranges.end() && it->first <= hi) {
-    lo = std::min(lo, it->first);
-    hi = std::max(hi, it->second);
-    it = ranges.erase(it);
-  }
-  ranges.emplace(lo, hi);
+  auto& pieces = dirty_[file_id];
+  // `seq` is the newest (enqueue_flush stamps seqs in increasing
+  // order), so the range is carved out of every piece it overlaps.
+  carve(pieces, offset, offset + size, ~std::uint64_t{0});
+  pieces.emplace(offset, DirtyPiece{offset + size, seq});
 }
 
 void IonDaemon::mark_clean(std::uint64_t file_id, std::uint64_t offset,
-                           std::uint64_t size) {
+                           std::uint64_t size, std::uint64_t seq) {
   MutexLock lk(dirty_mu_);
   auto fit = dirty_.find(file_id);
   if (fit == dirty_.end()) return;
-  auto& ranges = fit->second;
-  const std::uint64_t lo = offset;
-  const std::uint64_t hi = offset + size;
-  auto it = ranges.lower_bound(lo);
-  if (it != ranges.begin()) {
-    auto prev = std::prev(it);
-    if (prev->second > lo) it = prev;
-  }
-  while (it != ranges.end() && it->first < hi) {
-    const std::uint64_t r_lo = it->first;
-    const std::uint64_t r_hi = it->second;
-    it = ranges.erase(it);
-    if (r_lo < lo) ranges.emplace(r_lo, lo);
-    if (r_hi > hi) ranges.emplace(hi, r_hi);
-    if (r_hi >= hi) break;
-  }
-  if (ranges.empty()) dirty_.erase(fit);
+  // Pieces a newer write re-dirtied stay: the staging store, not the
+  // PFS, holds their latest bytes.
+  carve(fit->second, offset, offset + size, seq);
+  if (fit->second.empty()) dirty_.erase(fit);
 }
 
 bool IonDaemon::is_dirty(std::uint64_t file_id, std::uint64_t offset,
@@ -925,14 +949,14 @@ bool IonDaemon::is_dirty(std::uint64_t file_id, std::uint64_t offset,
   MutexLock lk(dirty_mu_);
   auto fit = dirty_.find(file_id);
   if (fit == dirty_.end()) return false;
-  const auto& ranges = fit->second;
+  const auto& pieces = fit->second;
   const std::uint64_t hi = offset + size;
-  auto it = ranges.lower_bound(offset + 1);
-  if (it != ranges.begin()) {
+  auto it = pieces.lower_bound(offset + 1);
+  if (it != pieces.begin()) {
     auto prev = std::prev(it);
-    if (prev->second > offset) return true;
+    if (prev->second.end > offset) return true;
   }
-  if (it != ranges.end() && it->first < hi) return true;
+  if (it != pieces.end() && it->first < hi) return true;
   return false;
 }
 

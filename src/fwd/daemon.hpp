@@ -18,7 +18,8 @@
 //       in-flight byte budget (idle flushers steal the oldest item of
 //       a busy sibling; the extent gate keeps last-writer-wins order)
 //   completions --> MPSC ring --> drainer thread (batched promise
-//       fulfilment, so workers never pay the futex wake per request)
+//       fulfilment, so workers never pay the futex wake per request;
+//       a request's CompletionSink, if any, is told right after)
 //
 // Requests for one (file_id, op) stream always land on the same
 // dispatch shard and all flush traffic of a file on the same flusher
@@ -40,6 +41,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -113,6 +115,12 @@ struct IonParams {
   /// ring is momentarily full the pusher fulfils the promise inline
   /// (counted in fwd.ion.completion_ring_full), never blocking.
   std::size_t completion_ring_capacity = 4096;
+  /// Test seam: runs on the flusher thread at the start of every flush
+  /// run, before the extent gate, with the run's first enqueue seq and
+  /// whether the run was stolen from a sibling queue. Tests hold a
+  /// flusher at a known point with it; empty (the default) in every
+  /// deployment.
+  std::function<void(std::uint64_t seq, bool stolen)> before_flush;
   /// Shared payload slab pool (owned by the ForwardingService or the
   /// bench); may be null. The daemon does not allocate payloads itself
   /// — the pointer feeds pool occupancy into the admission saturation
@@ -282,6 +290,10 @@ class IonDaemon {
     std::uint64_t size = 0;
     Payload payload;  ///< slab handle; released after the PFS write
     std::shared_ptr<std::promise<std::size_t>> fsync_done;  ///< marker
+    /// Completion listener of the marker's / write-through write's
+    /// request (FwdRequest::sink), carried to its completion record.
+    CompletionSink* sink = nullptr;
+    std::uint64_t sink_id = 0;
     /// Fsync barrier: data items enqueued (daemon-wide) before this
     /// marker; the marker completes once that many items have drained.
     std::uint64_t barrier = 0;
@@ -328,8 +340,10 @@ class IonDaemon {
   void flush_marker(const FlushItem& item) IOFA_EXCLUDES(flush_mu_);
   /// Write one coalesced run of same-file, offset-contiguous items
   /// (run.size() == 1 for uncoalesced traffic) as a scatter-gather PFS
-  /// dispatch, then settle each item's accounting.
-  void flush_run(std::vector<FlushItem>& run) IOFA_EXCLUDES(flush_mu_);
+  /// dispatch, then settle each item's accounting. `stolen` marks a run
+  /// taken from a sibling's queue.
+  void flush_run(std::vector<FlushItem>& run, bool stolen = false)
+      IOFA_EXCLUDES(flush_mu_);
   /// Steal the oldest data item of a sibling flush queue; nullopt when
   /// every queue is empty or holds only markers at its head.
   std::optional<FlushItem> try_steal_flush(std::size_t thief);
@@ -343,7 +357,8 @@ class IonDaemon {
   /// overtaken in its own queue by a later data item. Data items are
   /// also registered in the extent gate here (enqueue time), which is
   /// what makes work-stealing safe: a thief always sees every earlier
-  /// overlapping extent, drained or not.
+  /// overlapping extent, drained or not; and their range is marked
+  /// dirty under the same seq, before any flusher can see the item.
   void enqueue_flush(FlushItem item, std::uint64_t file_id)
       IOFA_EXCLUDES(flush_enqueue_mu_);
 
@@ -357,6 +372,9 @@ class IonDaemon {
   /// Route a completion through the MPSC ring (inline fallback when the
   /// ring is full; records without a promise settle immediately).
   void complete(CompletionRecord rec);
+  /// Fulfil a record's promise, tell its sink, then release its drain
+  /// count (drainer and inline fallback alike).
+  void deliver(CompletionRecord& rec);
 
   bool is_crashed() const {
     return crashed_manual_.load() ||
@@ -371,10 +389,16 @@ class IonDaemon {
   void fail_in_flight(Shard& shard);
 
   /// Dirty interval bookkeeping per file (staged but not yet flushed).
+  /// Each dirty piece remembers the enqueue seq of the latest staged
+  /// write covering it; a landed flush cleans only the pieces whose
+  /// latest write it is (or precedes), so a read never bypasses a newer
+  /// staged write that is still queued.
   void mark_dirty(std::uint64_t file_id, std::uint64_t offset,
-                  std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
+                  std::uint64_t size, std::uint64_t seq)
+      IOFA_EXCLUDES(dirty_mu_);
   void mark_clean(std::uint64_t file_id, std::uint64_t offset,
-                  std::uint64_t size) IOFA_EXCLUDES(dirty_mu_);
+                  std::uint64_t size, std::uint64_t seq)
+      IOFA_EXCLUDES(dirty_mu_);
   bool is_dirty(std::uint64_t file_id, std::uint64_t offset,
                 std::uint64_t size) const IOFA_EXCLUDES(dirty_mu_);
 
@@ -393,8 +417,12 @@ class IonDaemon {
   gkfs::ChunkStore staging_;
   PathTable paths_;
   mutable Mutex dirty_mu_;
-  // file_id -> (offset -> end), disjoint merged intervals.
-  std::unordered_map<std::uint64_t, std::map<std::uint64_t, std::uint64_t>>
+  struct DirtyPiece {
+    std::uint64_t end = 0;
+    std::uint64_t seq = 0;  ///< enqueue seq of the latest staged write
+  };
+  // file_id -> (offset -> piece), disjoint intervals.
+  std::unordered_map<std::uint64_t, std::map<std::uint64_t, DirtyPiece>>
       dirty_ IOFA_GUARDED_BY(dirty_mu_);
 
   iofa::MonotonicClock::time_point epoch_;

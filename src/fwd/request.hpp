@@ -3,6 +3,7 @@
 // daemons (the in-process stand-in for GekkoFS's Mercury RPCs).
 
 #include <cstdint>
+#include <exception>
 #include <future>
 #include <memory>
 #include <string>
@@ -13,6 +14,20 @@
 namespace iofa::fwd {
 
 enum class FwdOp : std::uint8_t { Write, Read, Fsync };
+
+/// Told a request's outcome right after its `done` promise settles, so
+/// a caller that cannot park on the future (the RPC server's responder)
+/// learns which request finished without polling. Runs on a daemon
+/// pipeline thread: it must only hand the outcome off, never block.
+class CompletionSink {
+ public:
+  /// `error` is null on success; `value` is then the bytes transferred.
+  virtual void on_complete(std::uint64_t sink_id, std::size_t value,
+                           const std::exception_ptr& error) = 0;
+
+ protected:
+  ~CompletionSink() = default;
+};
 
 struct FwdRequest {
   FwdOp op = FwdOp::Write;
@@ -34,6 +49,11 @@ struct FwdRequest {
   /// Fulfilled with the bytes transferred once the daemon finishes the
   /// request (for writes: once staged; durability comes from Fsync).
   std::shared_ptr<std::promise<std::size_t>> done;
+  /// Optional listener told `sink_id` and the outcome after `done`
+  /// settles; null for callers that wait on `done` alone. Must outlive
+  /// the request's completion.
+  CompletionSink* sink = nullptr;
+  std::uint64_t sink_id = 0;
   std::uint64_t tag = 0;  ///< daemon-local scheduler handle
   /// Stamped by IonDaemon::try_submit (monotonic_micros) on EVERY
   /// enqueue — including re-submissions after failover — so the ingest

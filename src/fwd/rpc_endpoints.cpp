@@ -1,8 +1,10 @@
 #include "fwd/rpc_endpoints.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -223,18 +225,21 @@ RpcIonServer::RpcIonServer(rpc::Transport& transport,
                            on_frame(std::move(frame));
                          });
   // iofa-lint: allow(raw-thread) - joined in stop(), not detached.
-  reaper_ = std::thread([this] { reaper_loop(); });
+  responder_ = std::thread([this] { responder_loop(); });
 }
 
 RpcIonServer::~RpcIonServer() { stop(); }
 
 void RpcIonServer::stop() {
-  if (stop_.exchange(true, std::memory_order_acq_rel)) return;
-  if (reaper_.joinable()) reaper_.join();
-  // Final sweep: completions that became ready between the reaper's
-  // last pass and the join still get their response frames out (the
-  // service drains daemons before tearing the links down).
-  sweep_completions();
+  {
+    MutexLock lk(settled_mu_);
+    stopping_ = true;
+    settled_cv_.notify_one();
+  }
+  // The responder empties the hand-off before it exits, so every
+  // completion the daemon settled before this call is answered while
+  // the transport is still open.
+  if (responder_.joinable()) responder_.join();
 }
 
 void RpcIonServer::on_frame(std::vector<std::byte> frame) {
@@ -250,31 +255,8 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   if (!msg) return;  // not ours (client-side frame echoed by a test)
   const std::uint64_t id = decoded.request_id;
 
-  std::vector<std::byte> ack_copy;
-  std::vector<std::byte> response_copy;
-  {
-    MutexLock lk(mu_);
-    const auto it = dedup_.find(id);
-    if (it != dedup_.end()) {
-      // Duplicate (chaos dup or an at-least-once resend): replay the
-      // cached outcome, never touch the daemon.
-      dedup_hits_ctr_->add();
-      ack_copy = it->second.ack_frame;
-      response_copy = it->second.response_frame;
-    }
-  }
-  if (!ack_copy.empty()) {
-    frames_sent_ctr_->add();
-    transport_.send(rpc::kServerSide, std::move(ack_copy));
-    if (!response_copy.empty()) {
-      frames_sent_ctr_->add();
-      transport_.send(rpc::kServerSide, std::move(response_copy));
-    }
-    return;
-  }
-
-  // Fresh request: rebuild the FwdRequest (payload re-materialised
-  // from the deployment slab pool) and offer it to the daemon.
+  // Rebuild the FwdRequest (payload re-materialised from the deployment
+  // slab pool). A duplicate drops it again below, unused.
   FwdRequest req;
   req.op = static_cast<FwdOp>(msg->op);
   req.path = msg->path;
@@ -296,10 +278,44 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
     // sizes, not bytes.
     payload = service_.acquire_payload(msg->size);
   }
-  req.payload = payload;
-  req.done = std::make_shared<std::promise<std::size_t>>();
-  auto fut = req.done->get_future();
 
+  bool fresh = false;
+  std::vector<std::byte> ack_copy;
+  std::vector<std::byte> response_copy;
+  {
+    MutexLock lk(mu_);
+    const auto claimed = dedup_.try_emplace(id);
+    fresh = claimed.second;
+    if (fresh) {
+      // Recorded in flight before the daemon can see the request, so a
+      // completion that fires before try_submit returns finds it.
+      inflight_.emplace(id, Inflight{payload, req.op});
+    } else {
+      // Duplicate (chaos dup or an at-least-once resend): replay the
+      // cached outcome, never touch the daemon. While the first copy
+      // is still being offered nothing is cached yet; the stub's
+      // resend loop asks again.
+      dedup_hits_ctr_->add();
+      ack_copy = claimed.first->second.ack_frame;
+      response_copy = claimed.first->second.response_frame;
+    }
+  }
+  if (!fresh) {
+    if (!ack_copy.empty()) {
+      frames_sent_ctr_->add();
+      transport_.send(rpc::kServerSide, std::move(ack_copy));
+    }
+    if (!response_copy.empty()) {
+      frames_sent_ctr_->add();
+      transport_.send(rpc::kServerSide, std::move(response_copy));
+    }
+    return;
+  }
+
+  req.payload = std::move(payload);
+  req.done = std::make_shared<std::promise<std::size_t>>();
+  req.sink = this;
+  req.sink_id = id;
   const SubmitResult res =
       service_.daemon(ion_).try_submit(std::move(req));
   rpc::SubmitAckMsg ack;
@@ -307,50 +323,68 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   std::vector<std::byte> ack_frame = rpc::encode(id, ack);
   {
     MutexLock lk(mu_);
-    DedupEntry& entry = dedup_[id];
-    entry.ack_frame = ack_frame;
-    entry.terminal = res != SubmitResult::kAccepted;
-    if (entry.terminal) {
-      terminal_order_.push_back(id);
-      evict_locked();
-    } else {
-      Inflight inflight;
-      inflight.id = id;
-      inflight.fut = std::move(fut);
-      inflight.payload = std::move(payload);
-      inflight.op = req.op;
-      inflight_.push_back(std::move(inflight));
+    // A request answered before its ack may already have left the
+    // window; its resends then find no entry and are offered afresh.
+    const auto it = dedup_.find(id);
+    if (it != dedup_.end()) it->second.ack_frame = ack_frame;
+    if (res != SubmitResult::kAccepted) {
+      // Refused: the daemon never settles it, so the ack is the whole
+      // answer.
+      inflight_.erase(id);
+      terminal_locked(id);
     }
   }
   frames_sent_ctr_->add();
   transport_.send(rpc::kServerSide, std::move(ack_frame));
 }
 
-void RpcIonServer::sweep_completions() {
-  std::vector<Inflight> ready;
+void RpcIonServer::on_complete(std::uint64_t sink_id, std::size_t value,
+                               const std::exception_ptr& error) {
+  MutexLock lk(settled_mu_);
+  settled_.push_back(Settled{sink_id, value, error});
+  // Parked is only ever observed under the mutex, so a responder that
+  // is about to park re-checks the hand-off first: no lost wakeup.
+  if (parked_) settled_cv_.notify_one();
+}
+
+void RpcIonServer::responder_loop() {
+  std::vector<Settled> batch;
+  for (;;) {
+    {
+      UniqueLock lk(settled_mu_);
+      while (settled_.empty() && !stopping_) {
+        parked_ = true;
+        settled_cv_.wait(lk);
+        parked_ = false;
+      }
+      if (settled_.empty()) return;  // stopping, nothing left to ship
+      batch.swap(settled_);
+    }
+    for (const Settled& settled : batch) respond(settled);
+    batch.clear();
+  }
+}
+
+void RpcIonServer::respond(const Settled& settled) {
+  Inflight item;
   {
     MutexLock lk(mu_);
-    auto it = inflight_.begin();
-    while (it != inflight_.end()) {
-      if (it->fut.wait_for(std::chrono::seconds(0)) ==
-          std::future_status::ready) {
-        ready.push_back(std::move(*it));
-        it = inflight_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    const auto it = inflight_.find(settled.id);
+    assert(it != inflight_.end());  // recorded before the offer
+    item = std::move(it->second);
+    inflight_.erase(it);
   }
-  for (Inflight& item : ready) {
-    rpc::SubmitResponseMsg rsp;
+  rpc::SubmitResponseMsg rsp;
+  std::span<const std::byte> data;
+  if (!settled.error) {
+    rsp.status = rpc::WireStatus::kOk;
+    rsp.value = settled.value;
+    // The read's data is encoded straight from the slab: the frame is
+    // the only copy.
+    if (item.op == FwdOp::Read) data = item.payload.span();
+  } else {
     try {
-      const std::size_t n = item.fut.get();
-      rsp.status = rpc::WireStatus::kOk;
-      rsp.value = n;
-      if (item.op == FwdOp::Read && !item.payload.empty()) {
-        const auto span = item.payload.span();
-        rsp.data.assign(span.begin(), span.end());
-      }
+      std::rethrow_exception(settled.error);
     } catch (const IonDownError&) {
       rsp.status = rpc::WireStatus::kIonDown;
     } catch (const RequestExpiredError&) {
@@ -358,37 +392,24 @@ void RpcIonServer::sweep_completions() {
     } catch (const std::exception&) {
       rsp.status = rpc::WireStatus::kError;
     }
-    std::vector<std::byte> frame = rpc::encode(item.id, rsp);
-    {
-      MutexLock lk(mu_);
-      complete_locked(item.id, frame);
-    }
-    frames_sent_ctr_->add();
-    transport_.send(rpc::kServerSide, std::move(frame));
   }
+  std::vector<std::byte> frame = rpc::encode(settled.id, rsp, data);
+  item.payload.reset();
+  {
+    MutexLock lk(mu_);
+    // Unanswered ids are never evicted, so the entry is still there.
+    dedup_.at(settled.id).response_frame = frame;
+    terminal_locked(settled.id);
+  }
+  frames_sent_ctr_->add();
+  transport_.send(rpc::kServerSide, std::move(frame));
 }
 
-void RpcIonServer::complete_locked(std::uint64_t id,
-                                   std::vector<std::byte> frame) {
-  const auto it = dedup_.find(id);
-  if (it == dedup_.end()) return;  // already evicted (shouldn't happen)
-  it->second.response_frame = std::move(frame);
-  it->second.terminal = true;
+void RpcIonServer::terminal_locked(std::uint64_t id) {
   terminal_order_.push_back(id);
-  evict_locked();
-}
-
-void RpcIonServer::evict_locked() {
   while (terminal_order_.size() > options_.dedup_window) {
     dedup_.erase(terminal_order_.front());
     terminal_order_.pop_front();
-  }
-}
-
-void RpcIonServer::reaper_loop() {
-  while (!stop_.load(std::memory_order_acquire)) {
-    sweep_completions();
-    sleep_for_seconds(0.0002);
   }
 }
 

@@ -28,6 +28,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <future>
 #include <memory>
 #include <thread>
@@ -88,38 +89,54 @@ class RpcIonClient : public IonPort {
 };
 
 /// Daemon-side server for one ION link: decodes submits, dedups,
-/// offers to the daemon, acks, and ships completions back from a
-/// polling reaper thread.
-class RpcIonServer {
+/// offers to the daemon, acks, and ships each completion back from a
+/// responder thread. The server is the CompletionSink of every request
+/// it offers: the daemon hands it (id, outcome) as the request settles,
+/// and the responder - parked on a condition variable, with no timer -
+/// encodes and sends that one response. Nothing polls or scans.
+///
+/// A request is recorded in flight BEFORE it is offered to the daemon,
+/// so its completion can outrun the ack, never the record.
+class RpcIonServer : private CompletionSink {
  public:
   RpcIonServer(rpc::Transport& transport, ForwardingService& service,
                int ion, const rpc::RpcOptions& options,
                telemetry::Registry* registry = nullptr);
   ~RpcIonServer();
 
-  /// Final completion sweep, then stop and join the reaper. Idempotent.
+  RpcIonServer(const RpcIonServer&) = delete;
+  RpcIonServer& operator=(const RpcIonServer&) = delete;
+
+  /// Ship every response already handed over, then stop and join the
+  /// responder. Idempotent. Drain or shut the daemon down first: a
+  /// completion arriving after stop() gets no response, and the daemon
+  /// must not outlive the server while requests are in flight.
   void stop();
 
  private:
   struct DedupEntry {
-    std::vector<std::byte> ack_frame;
+    std::vector<std::byte> ack_frame;       ///< empty until offered
     std::vector<std::byte> response_frame;  ///< empty until completed
-    bool terminal = false;  ///< busy/down ack, or response cached
   };
   struct Inflight {
-    std::uint64_t id = 0;
-    std::future<std::size_t> fut;
     Payload payload;  ///< server-side buffer (read data source)
     FwdOp op = FwdOp::Write;
   };
+  struct Settled {
+    std::uint64_t id = 0;
+    std::size_t value = 0;
+    std::exception_ptr error;
+  };
 
   void on_frame(std::vector<std::byte> frame);
-  void reaper_loop();
-  /// One pass over the in-flight set; ships every ready completion.
-  void sweep_completions();
-  void complete_locked(std::uint64_t id, std::vector<std::byte> frame)
-      IOFA_REQUIRES(mu_);
-  void evict_locked() IOFA_REQUIRES(mu_);
+  void on_complete(std::uint64_t sink_id, std::size_t value,
+                   const std::exception_ptr& error) override
+      IOFA_EXCLUDES(settled_mu_);
+  void responder_loop() IOFA_EXCLUDES(settled_mu_);
+  /// Encode, cache and send the response of one settled request.
+  void respond(const Settled& settled) IOFA_EXCLUDES(mu_);
+  /// Mark `id` answered: it joins the eviction queue.
+  void terminal_locked(std::uint64_t id) IOFA_REQUIRES(mu_);
 
   rpc::Transport& transport_;
   ForwardingService& service_;
@@ -130,13 +147,18 @@ class RpcIonServer {
   /// Terminal ids in completion order - the eviction queue. Ids whose
   /// response is still pending are not in here and never evicted.
   std::deque<std::uint64_t> terminal_order_ IOFA_GUARDED_BY(mu_);
-  std::vector<Inflight> inflight_ IOFA_GUARDED_BY(mu_);
-  std::atomic<bool> stop_{false};
-  std::thread reaper_;  // iofa-lint: allow(raw-thread)
+  std::unordered_map<std::uint64_t, Inflight> inflight_ IOFA_GUARDED_BY(mu_);
+  /// Completion hand-off from the daemon's threads to the responder.
+  Mutex settled_mu_;
+  CondVar settled_cv_;
+  std::vector<Settled> settled_ IOFA_GUARDED_BY(settled_mu_);
+  bool parked_ IOFA_GUARDED_BY(settled_mu_) = false;
+  bool stopping_ IOFA_GUARDED_BY(settled_mu_) = false;
   telemetry::Counter* dedup_hits_ctr_ = nullptr;    ///< rpc.dedup_hits
   telemetry::Counter* frames_sent_ctr_ = nullptr;
   telemetry::Counter* frames_recv_ctr_ = nullptr;
   telemetry::Counter* codec_errors_ctr_ = nullptr;
+  std::thread responder_;  // iofa-lint: allow(raw-thread)
 };
 
 /// Client-side stub for the MappingStore link (shared by every client

@@ -138,8 +138,8 @@ void ForwardingService::shutdown() {
   for (auto& d : daemons_) d->shutdown();
   if (rpc_ && !rpc_closed_) {
     rpc_closed_ = true;
-    // Order matters: the daemons above have settled every promise, so
-    // each server's stop() final sweep can still ship the last
+    // Order matters: the daemons above have handed every completion to
+    // their servers, so each server's stop() can still ship the last
     // responses over a live transport; only then do the transports
     // close (joining their delivery threads - after this no handler
     // can fire into a stub again).

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <limits>
+#include <span>
 #include <string>
 
 namespace iofa::rpc {
@@ -15,11 +16,6 @@ namespace {
 
 void put_u8(std::vector<std::byte>& out, std::uint8_t v) {
   out.push_back(static_cast<std::byte>(v));
-}
-
-void put_u16(std::vector<std::byte>& out, std::uint16_t v) {
-  put_u8(out, static_cast<std::uint8_t>(v & 0xFF));
-  put_u8(out, static_cast<std::uint8_t>(v >> 8));
 }
 
 void put_u32(std::vector<std::byte>& out, std::uint32_t v) {
@@ -41,8 +37,7 @@ void put_f64(std::vector<std::byte>& out, double v) {
   put_u64(out, bits);
 }
 
-void put_bytes(std::vector<std::byte>& out,
-               const std::vector<std::byte>& v) {
+void put_bytes(std::vector<std::byte>& out, std::span<const std::byte> v) {
   put_u32(out, static_cast<std::uint32_t>(v.size()));
   out.insert(out.end(), v.begin(), v.end());
 }
@@ -140,22 +135,37 @@ std::uint64_t fnv1a(const std::byte* data, std::size_t n,
   return h;
 }
 
-/// Assemble header + body into the final frame.
-std::vector<std::byte> seal(MsgType type, std::uint64_t request_id,
-                            std::vector<std::byte> body) {
+/// A frame under construction: a header placeholder the body is
+/// appended after, so body bytes are written once, in place.
+/// `body_hint` pre-sizes the buffer for the expected body.
+std::vector<std::byte> open_frame(std::size_t body_hint = 32) {
   std::vector<std::byte> frame;
-  frame.reserve(kHeaderSize + body.size());
-  put_u32(frame, kWireMagic);
-  put_u8(frame, kWireVersion);
-  put_u8(frame, static_cast<std::uint8_t>(type));
-  put_u16(frame, 0);
-  put_u64(frame, request_id);
-  put_u32(frame, static_cast<std::uint32_t>(body.size()));
-  put_u32(frame, 0);
-  std::uint64_t hash = fnv1a(frame.data(), frame.size());
-  hash = fnv1a(body.data(), body.size(), hash);
-  put_u64(frame, hash);
-  frame.insert(frame.end(), body.begin(), body.end());
+  frame.reserve(kHeaderSize + body_hint);
+  frame.resize(kHeaderSize);
+  return frame;
+}
+
+void store_le(std::byte* dst, std::uint64_t v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = static_cast<std::byte>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+/// Fill in the header of an open_frame() whose body is complete.
+std::vector<std::byte> seal(MsgType type, std::uint64_t request_id,
+                            std::vector<std::byte> frame) {
+  const std::size_t body_size = frame.size() - kHeaderSize;
+  std::byte* h = frame.data();
+  store_le(h + 0, kWireMagic, 4);
+  store_le(h + 4, kWireVersion, 1);
+  store_le(h + 5, static_cast<std::uint8_t>(type), 1);
+  store_le(h + 6, 0, 2);
+  store_le(h + 8, request_id, 8);
+  store_le(h + 16, body_size, 4);
+  store_le(h + 20, 0, 4);
+  std::uint64_t hash = fnv1a(h, kHeaderSize - 8);
+  hash = fnv1a(h + kHeaderSize, body_size, hash);
+  store_le(h + kHeaderSize - 8, hash, 8);
   return frame;
 }
 
@@ -163,64 +173,71 @@ std::vector<std::byte> seal(MsgType type, std::uint64_t request_id,
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitRequestMsg& m) {
-  std::vector<std::byte> body;
-  put_u8(body, static_cast<std::uint8_t>(m.op));
-  put_u32(body, m.tenant);
-  put_u64(body, m.file_id);
-  put_u64(body, m.offset);
-  put_u64(body, m.size);
-  put_f64(body, m.stream_weight);
-  put_u64(body, m.deadline_us);
-  put_string(body, m.path);
-  put_bytes(body, m.payload);
-  return seal(MsgType::kSubmitRequest, request_id, std::move(body));
+  std::vector<std::byte> frame =
+      open_frame(64 + m.path.size() + m.payload.size());
+  put_u8(frame, static_cast<std::uint8_t>(m.op));
+  put_u32(frame, m.tenant);
+  put_u64(frame, m.file_id);
+  put_u64(frame, m.offset);
+  put_u64(frame, m.size);
+  put_f64(frame, m.stream_weight);
+  put_u64(frame, m.deadline_us);
+  put_string(frame, m.path);
+  put_bytes(frame, m.payload);
+  return seal(MsgType::kSubmitRequest, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitAckMsg& m) {
-  std::vector<std::byte> body;
-  put_u8(body, static_cast<std::uint8_t>(m.result));
-  return seal(MsgType::kSubmitAck, request_id, std::move(body));
+  std::vector<std::byte> frame = open_frame();
+  put_u8(frame, static_cast<std::uint8_t>(m.result));
+  return seal(MsgType::kSubmitAck, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitResponseMsg& m) {
-  std::vector<std::byte> body;
-  put_u8(body, static_cast<std::uint8_t>(m.status));
-  put_u64(body, m.value);
-  put_bytes(body, m.data);
-  return seal(MsgType::kSubmitResponse, request_id, std::move(body));
+  return encode(request_id, m, m.data);
+}
+
+std::vector<std::byte> encode(std::uint64_t request_id,
+                              const SubmitResponseMsg& m,
+                              std::span<const std::byte> data) {
+  std::vector<std::byte> frame = open_frame(16 + data.size());
+  put_u8(frame, static_cast<std::uint8_t>(m.status));
+  put_u64(frame, m.value);
+  put_bytes(frame, data);
+  return seal(MsgType::kSubmitResponse, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingGetMsg& m) {
-  std::vector<std::byte> body;
-  put_u64(body, m.job);
-  return seal(MsgType::kMappingGet, request_id, std::move(body));
+  std::vector<std::byte> frame = open_frame();
+  put_u64(frame, m.job);
+  return seal(MsgType::kMappingGet, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingReplyMsg& m) {
-  std::vector<std::byte> body;
-  put_u64(body, m.epoch);
-  put_u8(body, m.found ? 1 : 0);
-  put_u32(body, static_cast<std::uint32_t>(m.ions.size()));
+  std::vector<std::byte> frame = open_frame();
+  put_u64(frame, m.epoch);
+  put_u8(frame, m.found ? 1 : 0);
+  put_u32(frame, static_cast<std::uint32_t>(m.ions.size()));
   for (std::int32_t ion : m.ions) {
-    put_u32(body, static_cast<std::uint32_t>(ion));
+    put_u32(frame, static_cast<std::uint32_t>(ion));
   }
-  return seal(MsgType::kMappingReply, request_id, std::move(body));
+  return seal(MsgType::kMappingReply, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingPublishMsg& m) {
-  std::vector<std::byte> body;
-  put_string(body, m.text);
-  return seal(MsgType::kMappingPublish, request_id, std::move(body));
+  std::vector<std::byte> frame = open_frame();
+  put_string(frame, m.text);
+  return seal(MsgType::kMappingPublish, request_id, std::move(frame));
 }
 
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingPublishAckMsg&) {
-  return seal(MsgType::kMappingPublishAck, request_id, {});
+  return seal(MsgType::kMappingPublishAck, request_id, open_frame());
 }
 
 namespace {

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <variant>
 #include <vector>
 
@@ -46,6 +47,12 @@ std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitAckMsg& m);
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const SubmitResponseMsg& m);
+/// The same frame with `data` travelling in place of `m.data`, so a
+/// server encodes read data straight from its buffer (one copy, into
+/// the frame).
+std::vector<std::byte> encode(std::uint64_t request_id,
+                              const SubmitResponseMsg& m,
+                              std::span<const std::byte> data);
 std::vector<std::byte> encode(std::uint64_t request_id,
                               const MappingGetMsg& m);
 std::vector<std::byte> encode(std::uint64_t request_id,

@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <thread>
 
+#include "common/mutex.hpp"
 #include "common/rng.hpp"
 #include "fault/clock.hpp"
 #include "fault/plan.hpp"
@@ -663,6 +665,20 @@ TEST(IonDaemon, TwoHotFilesKeepOrderUnderWorkStealing) {
   params.registry = &reg;
   params.flush_work_stealing = true;
   params.flush_batch_max = 4 * KiB;  // one extent per run: maximal overlap
+  // Owners park on their first run until a thief has taken an extent:
+  // their queues then stay backed up, so a steal happens by
+  // construction instead of by how the flushers were scheduled.
+  Mutex gate_mu;
+  CondVar gate_cv;
+  bool stolen_once = false;
+  params.before_flush = [&](std::uint64_t, bool stolen) {
+    UniqueLock lk(gate_mu);
+    if (stolen) {
+      stolen_once = true;
+      gate_cv.notify_all();
+    }
+    while (!stolen_once) gate_cv.wait(lk);
+  };
   IonDaemon daemon(0, params, pfs);
   ASSERT_EQ(daemon.flushers(), 8);
 
@@ -695,6 +711,72 @@ TEST(IonDaemon, TwoHotFilesKeepOrderUnderWorkStealing) {
   }
   // The six idle flushers must actually have relieved the two owners.
   EXPECT_GT(reg.counter("fwd.ion.flush_steals", {{"ion", "0"}}).value(), 0u);
+}
+
+TEST(IonDaemon, ReadAfterOlderFlushLandsSeesNewerStagedWrite) {
+  // Regression: a landed flush used to clear the whole dirty range,
+  // even when a newer write to it was staged and still queued. A read
+  // then went to the PFS and returned the older generation. The
+  // flusher holds v1's flush until v2 is staged, then holds v2's run
+  // right after v1's flush has landed.
+  EmulatedPfs pfs(fast_pfs());
+  IonParams params = fast_ion();
+  Mutex gate_mu;
+  CondVar gate_cv;
+  bool v2_staged = false;
+  bool at_v2 = false;
+  bool release = false;
+  params.before_flush = [&](std::uint64_t seq, bool) {
+    UniqueLock lk(gate_mu);
+    if (seq == 1) {
+      while (!v2_staged) gate_cv.wait(lk);
+    } else if (seq == 2) {
+      at_v2 = true;
+      gate_cv.notify_all();
+      while (!release) gate_cv.wait(lk);
+    }
+  };
+  IonDaemon daemon(0, params, pfs);
+  ASSERT_EQ(daemon.flushers(), 1);
+
+  const auto v1 = pattern_data(4096, 1);
+  const auto v2 = pattern_data(4096, 2);
+  auto w1 = write_req("/stale", 0, v1);
+  auto w1_fut = w1.done->get_future();
+  ASSERT_TRUE(daemon.submit(std::move(w1)));
+  ASSERT_EQ(w1_fut.get(), 4096u);
+  auto w2 = write_req("/stale", 0, v2);
+  auto w2_fut = w2.done->get_future();
+  ASSERT_TRUE(daemon.submit(std::move(w2)));
+  ASSERT_EQ(w2_fut.get(), 4096u);
+  {
+    UniqueLock lk(gate_mu);
+    v2_staged = true;
+    gate_cv.notify_all();
+    while (!at_v2) gate_cv.wait(lk);
+  }
+  // v1 is on the PFS; v2 is only staged.
+  std::vector<std::byte> on_pfs(4096);
+  ASSERT_EQ(pfs.read("/stale", 0, 4096, on_pfs), 4096u);
+  ASSERT_EQ(on_pfs, v1);
+
+  auto rreq = read_req("/stale", 0, 4096);
+  iofa::Payload buf = rreq.payload;
+  auto rfut = rreq.done->get_future();
+  ASSERT_TRUE(daemon.submit(std::move(rreq)));
+  ASSERT_EQ(rfut.get(), 4096u);
+  const auto got = buf.span();
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), v2.begin()))
+      << "read returned the generation the newer staged write replaced";
+
+  {
+    MutexLock lk(gate_mu);
+    release = true;
+    gate_cv.notify_all();
+  }
+  daemon.drain();
+  ASSERT_EQ(pfs.read("/stale", 0, 4096, on_pfs), 4096u);
+  EXPECT_EQ(on_pfs, v2);
 }
 
 TEST(IonDaemon, PathsInternedOncePerFile) {

@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <functional>
 #include <future>
+#include <latch>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -628,16 +629,25 @@ TEST(OverloadScenarios, TenXLoadCompletesWithExactAccounting) {
   constexpr int kThreads = 16;
   constexpr int kBlocks = 8;
   std::atomic<std::uint64_t> bytes{0};
+  // The writers generate their blocks first and then start together, so
+  // the burst that overloads the IONs does not depend on how quickly
+  // each thread happened to start.
+  std::latch start(kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       const std::string path = "/ovl" + std::to_string(t);
+      std::vector<std::vector<std::byte>> blocks;
       for (int i = 0; i < kBlocks; ++i) {
-        const auto data = pattern_data(
-            kBlock, seed + static_cast<unsigned>(t * 1000 + i));
+        blocks.push_back(pattern_data(
+            kBlock, seed + static_cast<unsigned>(t * 1000 + i)));
+      }
+      start.arrive_and_wait();
+      for (int i = 0; i < kBlocks; ++i) {
         bytes.fetch_add(client.pwrite(static_cast<std::uint32_t>(t), path,
-                                      block_offset(i), kBlock, data));
+                                      block_offset(i), kBlock,
+                                      blocks[static_cast<std::size_t>(i)]));
       }
     });
   }

@@ -1,9 +1,10 @@
 // Transport layer (PR 10): the FrameRing channel, the three Transport
 // implementations behind one interface, the ChaosTransport decorator's
 // verb semantics, and the option/env plumbing that selects between
-// them. Everything here is below the endpoint layer - frames are
-// opaque byte vectors; the dedup/retry discipline is exercised by
-// fault_scenarios_test against a full ForwardingService.
+// them. Frames are opaque byte vectors here; the dedup/retry
+// discipline is exercised by fault_scenarios_test against a full
+// ForwardingService. The last section drives RpcIonServer's signalled
+// response path over Loopback and TCP.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,7 +24,11 @@
 #include "fault/clock.hpp"
 #include "fault/injector.hpp"
 #include "fault/plan.hpp"
+#include "fwd/rpc_endpoints.hpp"
+#include "fwd/service.hpp"
+#include "gkfs/chunk.hpp"
 #include "rpc/chaos.hpp"
+#include "rpc/codec.hpp"
 #include "rpc/frame_ring.hpp"
 #include "rpc/options.hpp"
 #include "rpc/transport.hpp"
@@ -408,6 +415,219 @@ TEST(RpcOptions, ValidateRejectsNonsense) {
     EXPECT_THROW(validate_rpc_options(o), std::invalid_argument);
   }
 }
+
+// --- RpcIonServer response path ------------------------------------------
+// The server learns of each completion from the daemon (it is the
+// request's CompletionSink) and a responder thread ships the response.
+// These rigs wire a client stub and a server over a bare transport to an
+// in-proc daemon, so the tests can gate individual server frames.
+
+/// Holds server frames of type `held` (if any) at a gate. The gate
+/// opens when a frame of type `opens` has been sent, or when the test
+/// calls open().
+/// Records the order of every server frame that reached the wire.
+class GatedTransport : public Transport {
+ public:
+  GatedTransport(std::unique_ptr<Transport> inner,
+                 std::optional<MsgType> held, std::optional<MsgType> opens)
+      : inner_(std::move(inner)), held_(held), opens_(opens) {}
+
+  void set_handler(int side, Handler handler) override {
+    inner_->set_handler(side, std::move(handler));
+  }
+
+  void send(int side, std::vector<std::byte> frame) override {
+    if (side != kServerSide) {
+      inner_->send(side, std::move(frame));
+      return;
+    }
+    const MsgType type = peek_type(frame);
+    if (held_ && type == *held_) {
+      UniqueLock lk(mu_);
+      ++holding_;
+      cv_.notify_all();
+      while (!open_) cv_.wait(lk);
+      --holding_;
+    }
+    inner_->send(side, std::move(frame));
+    MutexLock lk(mu_);
+    sent_.push_back(type);
+    if (opens_ && type == *opens_) open_ = true;
+    cv_.notify_all();
+  }
+
+  void close() override { inner_->close(); }
+
+  void open() {
+    MutexLock lk(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  /// Block until a sender is parked at the gate.
+  void await_holding() {
+    UniqueLock lk(mu_);
+    while (holding_ == 0) cv_.wait(lk);
+  }
+
+  /// The server frames sent so far, once there are at least `n`.
+  std::vector<MsgType> await_sent(std::size_t n) {
+    UniqueLock lk(mu_);
+    while (sent_.size() < n) cv_.wait(lk);
+    return sent_;
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  const std::optional<MsgType> held_;
+  const std::optional<MsgType> opens_;
+  Mutex mu_;
+  CondVar cv_;
+  bool open_ IOFA_GUARDED_BY(mu_) = false;
+  int holding_ IOFA_GUARDED_BY(mu_) = 0;
+  std::vector<MsgType> sent_ IOFA_GUARDED_BY(mu_);
+};
+
+/// One ION link: client stub and server over `transport`, in front of
+/// an in-proc daemon. Tear-down follows the service's order: daemon
+/// drained, server stopped, transport closed.
+struct ServerRig {
+  ServerRig(std::unique_ptr<Transport> inner, RpcOptions options,
+            std::optional<MsgType> held = std::nullopt,
+            std::optional<MsgType> opens = std::nullopt)
+      : service(config()),
+        transport(std::make_unique<GatedTransport>(std::move(inner), held,
+                                                   opens)),
+        server(std::make_unique<fwd::RpcIonServer>(*transport, service, 0,
+                                                   options, &reg)),
+        client(std::make_unique<fwd::RpcIonClient>(*transport, 0, options,
+                                                   7, &reg)) {}
+
+  ~ServerRig() {
+    service.drain();
+    server->stop();
+    transport->close();
+    client.reset();
+    server.reset();
+    service.shutdown();
+  }
+
+  fwd::ServiceConfig config() {
+    fwd::ServiceConfig cfg;
+    cfg.ion_count = 1;
+    cfg.transport = TransportKind::kInProc;  // the rig brings its own link
+    cfg.pfs.registry = &reg;
+    cfg.ion.registry = &reg;
+    cfg.ion.scheduler.kind = agios::SchedulerKind::Fifo;
+    return cfg;
+  }
+
+  /// Offer one op through the stub; the future is the client's view of
+  /// the response.
+  std::future<std::size_t> submit(fwd::FwdOp op, std::uint64_t offset,
+                                  iofa::Payload payload) {
+    fwd::FwdRequest req;
+    req.op = op;
+    req.path = "/srv";
+    req.file_id = gkfs::hash_path(req.path);
+    req.offset = offset;
+    req.size = payload.size();
+    req.payload = std::move(payload);
+    req.done = std::make_shared<std::promise<std::size_t>>();
+    auto fut = req.done->get_future();
+    EXPECT_EQ(client->try_submit(std::move(req)),
+              fwd::SubmitResult::kAccepted);
+    return fut;
+  }
+
+  telemetry::Registry reg;
+  fwd::ForwardingService service;
+  std::unique_ptr<GatedTransport> transport;
+  std::unique_ptr<fwd::RpcIonServer> server;
+  std::unique_ptr<fwd::RpcIonClient> client;
+};
+
+iofa::Payload block_of(std::uint8_t fill, std::size_t n = 4096) {
+  return iofa::Payload::wrap(
+      std::make_shared<std::vector<std::byte>>(n, std::byte{fill}));
+}
+
+class RpcIonServerPath : public ::testing::TestWithParam<bool> {
+ protected:
+  std::unique_ptr<Transport> link() const {
+    if (GetParam()) return make_transport(TransportKind::kTcp, RpcOptions{});
+    return std::make_unique<LoopbackTransport>();
+  }
+};
+
+TEST_P(RpcIonServerPath, CompletionOutrunningTheAckIsAnswered) {
+  // The server records a request in flight before it offers it to the
+  // daemon, so the completion can fire while on_frame is still busy.
+  // Here the ack is held at the gate until the response has gone out:
+  // the completion settles, and is answered, before on_frame finishes.
+  ServerRig rig(link(), RpcOptions{}, MsgType::kSubmitAck,
+                MsgType::kSubmitResponse);
+  auto fut = rig.submit(fwd::FwdOp::Write, 0, block_of(0x11));
+  EXPECT_EQ(fut.get(), 4096u);
+  const auto sent = rig.transport->await_sent(2);
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0], MsgType::kSubmitResponse);
+  EXPECT_EQ(sent[1], MsgType::kSubmitAck);
+}
+
+TEST_P(RpcIonServerPath, StopShipsEveryPendingResponse) {
+  // The first response parks the responder at the gate; the rest queue
+  // behind it. stop() must ship all of them before it returns, while
+  // the transport is still open.
+  ServerRig rig(link(), RpcOptions{}, MsgType::kSubmitResponse);
+  constexpr int kOps = 8;
+  std::vector<std::future<std::size_t>> futs;
+  for (int i = 0; i < kOps; ++i) {
+    futs.push_back(rig.submit(fwd::FwdOp::Write,
+                              static_cast<std::uint64_t>(i) * 4096,
+                              block_of(static_cast<std::uint8_t>(i))));
+  }
+  // Every completion has reached the server once the daemon drains.
+  rig.service.drain();
+  rig.transport->await_holding();
+  std::thread stopper([&] { rig.server->stop(); });  // iofa-lint: allow(raw-thread)
+  rig.transport->open();
+  stopper.join();
+  for (auto& fut : futs) {
+    ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
+              std::future_status::ready);
+    EXPECT_EQ(fut.get(), 4096u);
+  }
+  EXPECT_EQ(rig.transport->await_sent(2 * kOps).size(),
+            2u * kOps);  // ack + response
+}
+
+TEST_P(RpcIonServerPath, SequentialOpsNeedNoTimedWake) {
+  // The stub's resend timer is pushed out of reach and every wait below
+  // is untimed: the responder has no timer of its own, so a lost wakeup
+  // hangs this test instead of showing up as latency.
+  RpcOptions options;
+  options.ack_timeout = 3600.0;
+  ServerRig rig(link(), options);
+  constexpr int kOps = 1000;
+  for (int i = 0; i < kOps; ++i) {
+    const auto fill = static_cast<std::uint8_t>(i);
+    const std::uint64_t offset = static_cast<std::uint64_t>(i % 16) * 4096;
+    EXPECT_EQ(rig.submit(fwd::FwdOp::Write, offset, block_of(fill)).get(),
+              4096u);
+    auto buf = std::make_shared<std::vector<std::byte>>(4096);
+    EXPECT_EQ(rig.submit(fwd::FwdOp::Read, offset, iofa::Payload::wrap(buf))
+                  .get(),
+              4096u);
+    ASSERT_EQ((*buf)[0], std::byte{fill}) << "op " << i;
+    ASSERT_EQ((*buf)[4095], std::byte{fill}) << "op " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, RpcIonServerPath, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "tcp" : "loopback";
+                         });
 
 }  // namespace
 }  // namespace iofa::rpc
