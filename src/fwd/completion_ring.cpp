@@ -47,11 +47,16 @@ bool CompletionRing::try_push(CompletionRecord& rec) {
     }
   }
   slot->rec = std::move(rec);
-  slot->seq.store(pos + 1, std::memory_order_release);
+  // Publish, then check for a parked drainer. Both sides are seq_cst
+  // (a store followed by a load of the other side's flag, Dekker
+  // style): with release/acquire the load could be ordered before the
+  // store, so this push would read parked_ == false while the drainer
+  // still read the old seq, and the drainer would sleep out its wait.
+  slot->seq.store(pos + 1, std::memory_order_seq_cst);
   // Wake the drainer only when it advertised it is parked; under load
   // this branch never takes the mutex. The drainer re-checks the ring
   // after setting parked_, so a push landing in the gap is still seen.
-  if (parked_.load(std::memory_order_acquire)) {
+  if (parked_.load(std::memory_order_seq_cst)) {
     MutexLock lk(wake_mu_);
     wake_cv_.notify_one();
   }
@@ -81,14 +86,16 @@ std::size_t CompletionRing::drain(std::vector<CompletionRecord>& out,
 
 void CompletionRing::wait_nonempty(double max_wait_s) {
   const std::uint64_t pos = head_.load(std::memory_order_relaxed);
+  // seq_cst: pairs with try_push (see there), so after parked_ is set
+  // either this load sees the push or the pusher sees parked_.
   auto published = [&] {
     const std::uint64_t seq =
-        slots_[pos & mask_].seq.load(std::memory_order_acquire);
+        slots_[pos & mask_].seq.load(std::memory_order_seq_cst);
     return static_cast<std::int64_t>(seq) -
                static_cast<std::int64_t>(pos + 1) >= 0;
   };
   if (published() || is_closed()) return;
-  parked_.store(true, std::memory_order_release);
+  parked_.store(true, std::memory_order_seq_cst);
   const auto deadline =
       monotonic_now() + std::chrono::duration_cast<MonotonicClock::duration>(
                             std::chrono::duration<double>(max_wait_s));

@@ -65,9 +65,6 @@ RpcIonClient::RpcIonClient(rpc::Transport& transport, int ion,
 }
 
 SubmitResult RpcIonClient::try_submit(FwdRequest req) {
-  const std::uint64_t id =
-      next_id_.fetch_add(1, std::memory_order_relaxed);
-
   rpc::SubmitRequestMsg msg;
   msg.op = static_cast<rpc::WireOp>(req.op);
   msg.tenant = req.tenant;
@@ -83,16 +80,18 @@ SubmitResult RpcIonClient::try_submit(FwdRequest req) {
     const auto span = req.payload.span();
     msg.payload.assign(span.begin(), span.end());
   }
-  const std::vector<std::byte> frame = rpc::encode(id, msg);
-
+  std::uint64_t id = 0;
   {
     MutexLock lk(mu_);
+    id = next_id_++;
     PendingCall& call = pending_[id];
     call.done = req.done;
     call.payload = req.payload;
     call.op = req.op;
     call.waiting = true;
+    msg.settled_below = pending_.begin()->first;
   }
+  const std::vector<std::byte> frame = rpc::encode(id, msg);
 
   // At-least-once: resend the same id until the server answers. The
   // dedup window makes every resend invisible to the daemon, so this
@@ -217,6 +216,7 @@ RpcIonServer::RpcIonServer(rpc::Transport& transport,
   auto& reg = reg_of(registry);
   const telemetry::Labels labels{{"link", "ion." + std::to_string(ion)}};
   dedup_hits_ctr_ = &reg.counter("rpc.dedup_hits", labels);
+  cached_bytes_gauge_ = &reg.gauge("rpc.dedup_cached_bytes", labels);
   frames_sent_ctr_ = &reg.counter("rpc.frames_sent", labels);
   frames_recv_ctr_ = &reg.counter("rpc.frames_recv", labels);
   codec_errors_ctr_ = &reg.counter("rpc.codec_errors", labels);
@@ -280,10 +280,14 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
   }
 
   bool fresh = false;
-  std::vector<std::byte> ack_copy;
+  std::optional<rpc::WireSubmitResult> ack_result;
   std::vector<std::byte> response_copy;
   {
     MutexLock lk(mu_);
+    // The mark never exceeds the request's own id (the stub registers
+    // the call before it reads its lowest pending id), so this cannot
+    // drop the response a resend of `id` is asking for.
+    settle_below_locked(msg->settled_below);
     const auto claimed = dedup_.try_emplace(id);
     fresh = claimed.second;
     if (fresh) {
@@ -296,14 +300,16 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
       // is still being offered nothing is cached yet; the stub's
       // resend loop asks again.
       dedup_hits_ctr_->add();
-      ack_copy = claimed.first->second.ack_frame;
-      response_copy = claimed.first->second.response_frame;
+      ack_result = claimed.first->second;
+      const auto cached = responses_.find(id);
+      if (cached != responses_.end()) response_copy = cached->second;
     }
   }
   if (!fresh) {
-    if (!ack_copy.empty()) {
+    if (ack_result) {
       frames_sent_ctr_->add();
-      transport_.send(rpc::kServerSide, std::move(ack_copy));
+      transport_.send(rpc::kServerSide,
+                      rpc::encode(id, rpc::SubmitAckMsg{*ack_result}));
     }
     if (!response_copy.empty()) {
       frames_sent_ctr_->add();
@@ -320,13 +326,12 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
       service_.daemon(ion_).try_submit(std::move(req));
   rpc::SubmitAckMsg ack;
   ack.result = static_cast<rpc::WireSubmitResult>(res);
-  std::vector<std::byte> ack_frame = rpc::encode(id, ack);
   {
     MutexLock lk(mu_);
     // A request answered before its ack may already have left the
     // window; its resends then find no entry and are offered afresh.
     const auto it = dedup_.find(id);
-    if (it != dedup_.end()) it->second.ack_frame = ack_frame;
+    if (it != dedup_.end()) it->second = ack.result;
     if (res != SubmitResult::kAccepted) {
       // Refused: the daemon never settles it, so the ack is the whole
       // answer.
@@ -335,7 +340,7 @@ void RpcIonServer::on_frame(std::vector<std::byte> frame) {
     }
   }
   frames_sent_ctr_->add();
-  transport_.send(rpc::kServerSide, std::move(ack_frame));
+  transport_.send(rpc::kServerSide, rpc::encode(id, ack));
 }
 
 void RpcIonServer::on_complete(std::uint64_t sink_id, std::size_t value,
@@ -397,8 +402,13 @@ void RpcIonServer::respond(const Settled& settled) {
   item.payload.reset();
   {
     MutexLock lk(mu_);
-    // Unanswered ids are never evicted, so the entry is still there.
-    dedup_.at(settled.id).response_frame = frame;
+    // Below the mark the stub has already settled the call and will
+    // never resend it: nothing to keep.
+    if (settled.id >= settled_below_) {
+      cached_bytes_ += frame.size();
+      responses_.emplace(settled.id, frame);
+      cached_bytes_gauge_->set(static_cast<double>(cached_bytes_));
+    }
     terminal_locked(settled.id);
   }
   frames_sent_ctr_->add();
@@ -408,9 +418,26 @@ void RpcIonServer::respond(const Settled& settled) {
 void RpcIonServer::terminal_locked(std::uint64_t id) {
   terminal_order_.push_back(id);
   while (terminal_order_.size() > options_.dedup_window) {
-    dedup_.erase(terminal_order_.front());
+    const std::uint64_t old = terminal_order_.front();
     terminal_order_.pop_front();
+    dedup_.erase(old);
+    const auto cached = responses_.find(old);
+    if (cached != responses_.end()) uncache_locked(cached);
   }
+}
+
+void RpcIonServer::settle_below_locked(std::uint64_t mark) {
+  if (mark <= settled_below_) return;  // stale or reordered copy
+  settled_below_ = mark;
+  const auto end = responses_.lower_bound(mark);
+  for (auto it = responses_.begin(); it != end;) it = uncache_locked(it);
+}
+
+RpcIonServer::ResponseCache::iterator RpcIonServer::uncache_locked(
+    ResponseCache::iterator it) {
+  cached_bytes_ -= it->second.size();
+  cached_bytes_gauge_->set(static_cast<double>(cached_bytes_));
+  return responses_.erase(it);
 }
 
 // --- RpcMappingClient ------------------------------------------------------

@@ -13,10 +13,14 @@
 //     it under a new id. The server always answers (kDown even while
 //     its daemon is crashed), so resends terminate for any plan that
 //     eventually lets one ack frame through.
-//   * The server keeps a dedup window of answered request ids and
-//     replays the CACHED ack/response for a duplicate - a dup or
-//     resend can never reach the daemon twice (rpc.dedup_hits counts
-//     the absorbed copies).
+//   * The server keeps a dedup window of answered request ids with
+//     their ack results, and replays the ack for a duplicate - a dup
+//     or resend can never reach the daemon twice (rpc.dedup_hits
+//     counts the absorbed copies). It also replays the CACHED response
+//     while the client may still ask for it: every request carries
+//     settled_below, the lowest id its stub still awaits, and the
+//     server drops the cached responses below the largest mark it has
+//     seen (rpc.dedup_cached_bytes), or when an id leaves the window.
 //   * A LOST SubmitResponse surfaces as the client's request timeout;
 //     the shim abandons the attempt and re-offers under a NEW id,
 //     which the daemon terminally counts once more - the same
@@ -30,7 +34,9 @@
 #include <deque>
 #include <exception>
 #include <future>
+#include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -77,11 +83,14 @@ class RpcIonClient : public IonPort {
   const int ion_;
   const rpc::RpcOptions options_;
   const std::uint64_t seed_;
-  std::atomic<std::uint64_t> next_id_{1};
   Mutex mu_;
   CondVar cv_;
-  std::unordered_map<std::uint64_t, PendingCall> pending_
-      IOFA_GUARDED_BY(mu_);
+  /// Ids are allocated and registered in one critical section, so the
+  /// lowest pending id (each request's settled_below) can never pass
+  /// an id that is allocated but not yet registered.
+  std::uint64_t next_id_ IOFA_GUARDED_BY(mu_) = 1;
+  /// Calls still awaiting an ack or a response, in id order.
+  std::map<std::uint64_t, PendingCall> pending_ IOFA_GUARDED_BY(mu_);
   telemetry::Counter* retries_ctr_ = nullptr;       ///< rpc.retries
   telemetry::Counter* frames_sent_ctr_ = nullptr;   ///< rpc.frames_sent
   telemetry::Counter* frames_recv_ctr_ = nullptr;   ///< rpc.frames_recv
@@ -97,6 +106,10 @@ class RpcIonClient : public IonPort {
 ///
 /// A request is recorded in flight BEFORE it is offered to the daemon,
 /// so its completion can outrun the ack, never the record.
+///
+/// Memory follows the requests in flight: a response frame is cached
+/// only while its id is at or above the largest settled_below a request
+/// has carried, and the dedup window keeps one ack result per id.
 class RpcIonServer : private CompletionSink {
  public:
   RpcIonServer(rpc::Transport& transport, ForwardingService& service,
@@ -114,10 +127,8 @@ class RpcIonServer : private CompletionSink {
   void stop();
 
  private:
-  struct DedupEntry {
-    std::vector<std::byte> ack_frame;       ///< empty until offered
-    std::vector<std::byte> response_frame;  ///< empty until completed
-  };
+  /// Encoded response frames by request id.
+  using ResponseCache = std::map<std::uint64_t, std::vector<std::byte>>;
   struct Inflight {
     Payload payload;  ///< server-side buffer (read data source)
     FwdOp op = FwdOp::Write;
@@ -137,16 +148,29 @@ class RpcIonServer : private CompletionSink {
   void respond(const Settled& settled) IOFA_EXCLUDES(mu_);
   /// Mark `id` answered: it joins the eviction queue.
   void terminal_locked(std::uint64_t id) IOFA_REQUIRES(mu_);
+  /// Raise settled_below_ to `mark` and drop the responses below it.
+  void settle_below_locked(std::uint64_t mark) IOFA_REQUIRES(mu_);
+  /// Drop one cached response; returns the next entry.
+  ResponseCache::iterator uncache_locked(ResponseCache::iterator it)
+      IOFA_REQUIRES(mu_);
 
   rpc::Transport& transport_;
   ForwardingService& service_;
   const int ion_;
   const rpc::RpcOptions options_;
   Mutex mu_;
-  std::unordered_map<std::uint64_t, DedupEntry> dedup_ IOFA_GUARDED_BY(mu_);
+  /// Dedup window: id -> ack result, nullopt while the first copy is
+  /// still being offered.
+  std::unordered_map<std::uint64_t, std::optional<rpc::WireSubmitResult>>
+      dedup_ IOFA_GUARDED_BY(mu_);
   /// Terminal ids in completion order - the eviction queue. Ids whose
   /// response is still pending are not in here and never evicted.
   std::deque<std::uint64_t> terminal_order_ IOFA_GUARDED_BY(mu_);
+  /// Encoded responses a resend may still ask for, in id order; every
+  /// key is >= settled_below_ and inside the dedup window.
+  ResponseCache responses_ IOFA_GUARDED_BY(mu_);
+  std::uint64_t settled_below_ IOFA_GUARDED_BY(mu_) = 0;
+  std::size_t cached_bytes_ IOFA_GUARDED_BY(mu_) = 0;
   std::unordered_map<std::uint64_t, Inflight> inflight_ IOFA_GUARDED_BY(mu_);
   /// Completion hand-off from the daemon's threads to the responder.
   Mutex settled_mu_;
@@ -155,6 +179,7 @@ class RpcIonServer : private CompletionSink {
   bool parked_ IOFA_GUARDED_BY(settled_mu_) = false;
   bool stopping_ IOFA_GUARDED_BY(settled_mu_) = false;
   telemetry::Counter* dedup_hits_ctr_ = nullptr;    ///< rpc.dedup_hits
+  telemetry::Gauge* cached_bytes_gauge_ = nullptr;  ///< rpc.dedup_cached_bytes
   telemetry::Counter* frames_sent_ctr_ = nullptr;
   telemetry::Counter* frames_recv_ctr_ = nullptr;
   telemetry::Counter* codec_errors_ctr_ = nullptr;

@@ -182,6 +182,7 @@ std::vector<std::byte> encode(std::uint64_t request_id,
   put_u64(frame, m.size);
   put_f64(frame, m.stream_weight);
   put_u64(frame, m.deadline_us);
+  put_u64(frame, m.settled_below);
   put_string(frame, m.path);
   put_bytes(frame, m.payload);
   return seal(MsgType::kSubmitRequest, request_id, std::move(frame));
@@ -300,6 +301,7 @@ Decoded decode(const std::vector<std::byte>& frame) {
       m.size = r.u64();
       m.stream_weight = r.f64();
       m.deadline_us = r.u64();
+      m.settled_below = r.u64();
       m.path = r.str();
       m.payload = r.bytes();
       r.expect_done();

@@ -22,7 +22,7 @@
 namespace iofa::rpc {
 
 inline constexpr std::uint32_t kWireMagic = 0x41464F49;  // "IOFA" LE
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 /// Fixed header size in bytes (see codec.cpp for the exact layout).
 inline constexpr std::size_t kHeaderSize = 32;
 /// Decoder refuses bodies above this (a flipped length bit must not
@@ -60,6 +60,11 @@ struct SubmitRequestMsg {
   std::uint64_t size = 0;
   double stream_weight = 1.0;
   std::uint64_t deadline_us = 0;
+  /// The lowest request id the sending stub still awaits: it will never
+  /// ask again for the response of any id below this, so the server may
+  /// forget those (the implicit acknowledgement of Birrell & Nelson's
+  /// RPC). 0 releases nothing.
+  std::uint64_t settled_below = 0;
   std::string path;
   /// Write payload bytes; empty in accounting-only mode.
   std::vector<std::byte> payload;

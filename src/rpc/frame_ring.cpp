@@ -41,8 +41,11 @@ bool FrameRing::try_push_locked(std::vector<std::byte>& frame) {
     }
   }
   slot->frame = std::move(frame);
-  slot->seq.store(pos + 1, std::memory_order_release);
-  if (parked_.load(std::memory_order_acquire)) {
+  // seq_cst store, then seq_cst load of parked_, paired with pop_wait:
+  // either the consumer's re-check sees this frame or this push sees
+  // the consumer parked (see fwd::CompletionRing::try_push).
+  slot->seq.store(pos + 1, std::memory_order_seq_cst);
+  if (parked_.load(std::memory_order_seq_cst)) {
     MutexLock lk(wake_mu_);
     wake_cv_.notify_one();
   }
@@ -95,12 +98,12 @@ std::optional<std::vector<std::byte>> FrameRing::pop_wait() {
       if (auto frame = try_pop()) return frame;
       return std::nullopt;
     }
-    parked_.store(true, std::memory_order_release);
+    parked_.store(true, std::memory_order_seq_cst);
     {
       UniqueLock lk(wake_mu_);
       const std::uint64_t pos = head_.load(std::memory_order_relaxed);
       const std::uint64_t seq =
-          slots_[pos & mask_].seq.load(std::memory_order_acquire);
+          slots_[pos & mask_].seq.load(std::memory_order_seq_cst);
       const bool published = static_cast<std::int64_t>(seq) -
                                  static_cast<std::int64_t>(pos + 1) >= 0;
       if (!published && !closed_.load(std::memory_order_acquire)) {

@@ -51,8 +51,10 @@ struct RpcOptions {
   Seconds ack_timeout = 0.25;
   /// Pacing between ack resends (deterministic seeded jitter).
   fault::BackoffPolicy retry_backoff = {};
-  /// Request ids remembered per server for duplicate suppression.
-  /// Entries whose response is still pending are never evicted.
+  /// Request ids remembered per server for duplicate suppression, each
+  /// with its ack result. Entries whose response is still pending are
+  /// never evicted. An id's cached response frame goes once the client's
+  /// settled_below mark passes it, or with the id at the latest.
   std::size_t dedup_window = 4096;
   /// Frames per direction in the shm-ring transport (rounded up to a
   /// power of two).

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -127,6 +129,57 @@ TEST(CompletionRingTest, WaitNonemptyWakesOnPush) {
   EXPECT_EQ(ring.drain(out, 8), 1u);
   EXPECT_EQ(out[0].value, 7u);
   producer.join();
+}
+
+// Ping-pong between two rings: each side parks on its ring and is woken
+// only by the other side's push, so every round takes the park/wake
+// path. A push that misses the parked drainer (a lost wake-up) leaves
+// it asleep for the whole wait; the waits are far longer than the
+// test's watchdog, so a lost wake-up fails the test instead of hiding
+// as latency.
+TEST(CompletionRingStressTest, PingPongLosesNoWakeup) {
+  constexpr int kRounds = 20000;
+  constexpr double kWaitS = 3600.0;
+  CompletionRing ping(8);
+  CompletionRing pong(8);
+  auto give = [](CompletionRing& ring, std::size_t value) {
+    CompletionRecord rec = make_rec(value);
+    EXPECT_TRUE(ring.try_push(rec));
+  };
+  // Park on `ring` until one record arrives; nullopt once it is closed.
+  auto take = [](CompletionRing& ring) -> std::optional<std::size_t> {
+    std::vector<CompletionRecord> got;
+    while (ring.drain(got, 1) == 0) {
+      if (ring.is_closed()) return std::nullopt;
+      ring.wait_nonempty(kWaitS);
+    }
+    return got[0].value;
+  };
+  std::promise<void> finished;
+  std::thread server([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      const auto value = take(ping);
+      if (!value) return;
+      give(pong, *value);
+    }
+  });
+  std::thread client([&] {
+    for (int i = 0; i < kRounds; ++i) {
+      give(ping, static_cast<std::size_t>(i));
+      const auto value = take(pong);
+      if (!value) return;
+      EXPECT_EQ(*value, static_cast<std::size_t>(i));
+    }
+    finished.set_value();
+  });
+  const bool done = finished.get_future().wait_for(std::chrono::seconds(
+                        120)) == std::future_status::ready;
+  EXPECT_TRUE(done) << "a push did not wake the parked side";
+  // Closing wakes a stuck side so both threads can be joined.
+  ping.close();
+  pong.close();
+  client.join();
+  server.join();
 }
 
 // Crash-restart drill: producers push a known population, the "daemon"

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -29,6 +30,7 @@ SubmitRequestMsg sample_request() {
   m.size = 5;
   m.stream_weight = 2.5;
   m.deadline_us = 123456789;
+  m.settled_below = 0x0A0B0C0D0E0F1011ull;
   m.path = "/ssd/rank0/ckpt.h5";
   m.payload = {std::byte{1}, std::byte{2}, std::byte{3}, std::byte{4},
                std::byte{5}};
@@ -49,6 +51,7 @@ TEST(RpcCodec, SubmitRequestRoundTrip) {
   EXPECT_EQ(got.size, m.size);
   EXPECT_DOUBLE_EQ(got.stream_weight, m.stream_weight);
   EXPECT_EQ(got.deadline_us, m.deadline_us);
+  EXPECT_EQ(got.settled_below, m.settled_below);
   EXPECT_EQ(got.path, m.path);
   EXPECT_EQ(got.payload, m.payload);
 }
@@ -158,6 +161,84 @@ TEST(RpcCodec, WrongMagicVersionReservedAreTypedErrors) {
   }
 }
 
+/// Recompute a frame's checksum field (FNV-1a over header[0..24) and
+/// the body), so a test can forge a frame whose only defect is the one
+/// it planted.
+void reseal(std::vector<std::byte>& frame) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    if (i >= kHeaderSize - 8 && i < kHeaderSize) continue;
+    h ^= static_cast<std::uint64_t>(frame[i]);
+    h *= 1099511628211ULL;
+  }
+  for (std::size_t i = 0; i < 8; ++i) {
+    frame[kHeaderSize - 8 + i] = static_cast<std::byte>((h >> (8 * i)) & 0xFF);
+  }
+}
+
+TEST(RpcCodec, VersionOneSubmitIsRefused) {
+  // A well-formed version-1 SubmitRequest: the version-2 frame without
+  // its settled_below field (body bytes [45..53)), checksum intact.
+  auto frame = encode(5, sample_request());
+  constexpr std::size_t kMarkAt = kHeaderSize + 45;
+  frame.erase(frame.begin() + kMarkAt, frame.begin() + kMarkAt + 8);
+  const std::size_t body = frame.size() - kHeaderSize;
+  for (std::size_t i = 0; i < 4; ++i) {
+    frame[16 + i] = static_cast<std::byte>((body >> (8 * i)) & 0xFF);
+  }
+  frame[4] = std::byte{1};
+  reseal(frame);
+  try {
+    (void)decode(frame);
+    FAIL() << "a version-1 frame decoded";
+  } catch (const CodecError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
+/// Flip every bit of `frame` in turn; each flipped frame must be
+/// refused with CodecError. Returns the first bit that slipped through
+/// (byte * 8 + bit), or -1.
+long first_undetected_flip(std::vector<std::byte> frame) {
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      const auto mask = static_cast<std::byte>(1u << bit);
+      frame[i] ^= mask;
+      bool refused = false;
+      try {
+        (void)decode(frame);
+      } catch (const CodecError&) {
+        refused = true;
+      }
+      frame[i] ^= mask;
+      if (!refused) return static_cast<long>(i * 8) + bit;
+    }
+  }
+  return -1;
+}
+
+TEST(RpcCodec, EverySingleBitFlipOfA4KiBSubmitIsRefused) {
+  SubmitRequestMsg m = sample_request();
+  m.size = 4096;
+  m.payload.assign(4096, std::byte{0xC3});
+  const auto frame = encode(0x1122334455667788ull, m);
+  ASSERT_NO_THROW(decode(frame));
+  EXPECT_EQ(first_undetected_flip(frame), -1);
+}
+
+TEST(RpcCodec, EverySingleBitFlipOfA4KiBResponseIsRefused) {
+  SubmitResponseMsg m;
+  m.value = 4096;
+  m.data.resize(4096);
+  for (std::size_t i = 0; i < m.data.size(); ++i) {
+    m.data[i] = static_cast<std::byte>(i * 31);
+  }
+  const auto frame = encode(0x8877665544332211ull, m);
+  ASSERT_NO_THROW(decode(frame));
+  EXPECT_EQ(first_undetected_flip(frame), -1);
+}
+
 TEST(RpcCodec, ChecksumCatchesRequestIdFlip) {
   auto frame = encode(0x0102030405060708ull, SubmitAckMsg{});
   frame[8] ^= std::byte{0x01};  // request id is checksummed too
@@ -192,14 +273,13 @@ void fuzz_frames(std::uint64_t seed) {
       encode(7, MappingPublishAckMsg{}),
   };
   for (int round = 0; round < 2000; ++round) {
-    auto frame = corpus[rng.uniform_int(
+    const auto& original = corpus[rng.uniform_int(
         0, static_cast<int>(corpus.size()) - 1)];
-    bool mutated = false;
+    auto frame = original;
     if (rng.uniform01() < 0.5) {
       const auto len = static_cast<std::size_t>(rng.uniform_int(
           0, static_cast<int>(frame.size()) - 1));
       frame.resize(len);
-      mutated = true;
     } else {
       const int flips = rng.uniform_int(1, 8);
       for (int i = 0; i < flips; ++i) {
@@ -207,17 +287,14 @@ void fuzz_frames(std::uint64_t seed) {
             0, static_cast<int>(frame.size()) - 1));
         frame[pos] ^= std::byte{
             static_cast<unsigned char>(1u << rng.uniform_int(0, 7))};
-        mutated = true;
       }
     }
     try {
       (void)decode(frame);
-      // Decoding can only succeed if the mangling restored a valid
-      // frame; with XOR flips that means the flips cancelled - allowed
-      // but astronomically rare. Truncation below header size never
-      // passes.
-      EXPECT_TRUE(!mutated || frame.size() >= kHeaderSize)
-          << "seed " << seed << " round " << round;
+      // Decoding can only succeed if the mangling restored the frame:
+      // XOR flips that cancelled each other. Any other frame that
+      // decodes is damage the codec missed.
+      EXPECT_EQ(frame, original) << "seed " << seed << " round " << round;
     } catch (const CodecError&) {
       // The contract: malformed frames surface exactly here.
     } catch (...) {

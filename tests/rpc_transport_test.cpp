@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -424,7 +425,7 @@ TEST(RpcOptions, ValidateRejectsNonsense) {
 
 /// Holds server frames of type `held` (if any) at a gate. The gate
 /// opens when a frame of type `opens` has been sent, or when the test
-/// calls open().
+/// calls open(). Swallows the server frames armed with drop_next().
 /// Records the order of every server frame that reached the wire.
 class GatedTransport : public Transport {
  public:
@@ -438,10 +439,26 @@ class GatedTransport : public Transport {
 
   void send(int side, std::vector<std::byte> frame) override {
     if (side != kServerSide) {
+      {
+        // A resend waits until the armed drops have fired, so it finds
+        // the outcome of the first copy settled at the server.
+        UniqueLock lk(mu_);
+        while (!to_drop_.empty() && client_frames_ > armed_at_) cv_.wait(lk);
+        ++client_frames_;
+      }
       inner_->send(side, std::move(frame));
       return;
     }
     const MsgType type = peek_type(frame);
+    {
+      MutexLock lk(mu_);
+      const auto drop = std::find(to_drop_.begin(), to_drop_.end(), type);
+      if (drop != to_drop_.end()) {
+        to_drop_.erase(drop);
+        cv_.notify_all();
+        return;
+      }
+    }
     if (held_ && type == *held_) {
       UniqueLock lk(mu_);
       ++holding_;
@@ -462,6 +479,14 @@ class GatedTransport : public Transport {
     MutexLock lk(mu_);
     open_ = true;
     cv_.notify_all();
+  }
+
+  /// Swallow the next server frame of `type`. Until every armed drop
+  /// has fired, only the next client frame goes out.
+  void drop_next(MsgType type) {
+    MutexLock lk(mu_);
+    if (to_drop_.empty()) armed_at_ = client_frames_;
+    to_drop_.push_back(type);
   }
 
   /// Block until a sender is parked at the gate.
@@ -486,6 +511,9 @@ class GatedTransport : public Transport {
   bool open_ IOFA_GUARDED_BY(mu_) = false;
   int holding_ IOFA_GUARDED_BY(mu_) = 0;
   std::vector<MsgType> sent_ IOFA_GUARDED_BY(mu_);
+  std::vector<MsgType> to_drop_ IOFA_GUARDED_BY(mu_);
+  std::uint64_t client_frames_ IOFA_GUARDED_BY(mu_) = 0;
+  std::uint64_t armed_at_ IOFA_GUARDED_BY(mu_) = 0;
 };
 
 /// One ION link: client stub and server over `transport`, in front of
@@ -540,6 +568,14 @@ struct ServerRig {
     return fut;
   }
 
+  /// The link's counter `name` (label link=ion.0).
+  telemetry::Counter& counter(const std::string& name) {
+    return reg.counter(name, {{"link", "ion.0"}});
+  }
+  double cached_bytes() {
+    return reg.gauge("rpc.dedup_cached_bytes", {{"link", "ion.0"}}).value();
+  }
+
   telemetry::Registry reg;
   fwd::ForwardingService service;
   std::unique_ptr<GatedTransport> transport;
@@ -550,6 +586,13 @@ struct ServerRig {
 iofa::Payload block_of(std::uint8_t fill, std::size_t n = 4096) {
   return iofa::Payload::wrap(
       std::make_shared<std::vector<std::byte>>(n, std::byte{fill}));
+}
+
+/// Wire size of the response to a 4 KiB read.
+double read_response_bytes() {
+  SubmitResponseMsg rsp;
+  rsp.data.resize(4096);
+  return static_cast<double>(encode(1, rsp).size());
 }
 
 class RpcIonServerPath : public ::testing::TestWithParam<bool> {
@@ -622,6 +665,75 @@ TEST_P(RpcIonServerPath, SequentialOpsNeedNoTimedWake) {
     ASSERT_EQ((*buf)[0], std::byte{fill}) << "op " << i;
     ASSERT_EQ((*buf)[4095], std::byte{fill}) << "op " << i;
   }
+}
+
+TEST_P(RpcIonServerPath, CachedResponsesFollowTheRequestsInFlight) {
+  // Every request carries the lowest id its stub still awaits, so the
+  // server forgets a response once the next request shows it arrived.
+  // Keeping the last dedup_window responses instead would hold all
+  // 1,000 read frames here (~4 MiB).
+  ServerRig rig(link(), RpcOptions{});
+  ASSERT_EQ(rig.submit(fwd::FwdOp::Write, 0, block_of(0x5A)).get(), 4096u);
+  double peak = 0.0;
+  for (int i = 0; i < 1000; ++i) {
+    auto buf = std::make_shared<std::vector<std::byte>>(4096);
+    ASSERT_EQ(
+        rig.submit(fwd::FwdOp::Read, 0, iofa::Payload::wrap(buf)).get(),
+        4096u);
+    ASSERT_EQ((*buf)[4095], std::byte{0x5A}) << "read " << i;
+    peak = std::max(peak, rig.cached_bytes());
+  }
+  EXPECT_GT(peak, 0.0);
+  EXPECT_LE(peak, 2.0 * read_response_bytes());
+}
+
+TEST_P(RpcIonServerPath, ResendReplaysACachedResponseAfterAckAndResponseLoss) {
+  // The first ack and the first response of a read are both lost. The
+  // stub resends the same id after its ack window; the server answers
+  // the duplicate from its dedup window and response cache, and the
+  // call completes with its data - no request timeout, no new id.
+  RpcOptions options;
+  options.ack_timeout = 0.05;
+  ServerRig rig(link(), options);
+  ASSERT_EQ(rig.submit(fwd::FwdOp::Write, 0, block_of(0x3C)).get(), 4096u);
+  rig.transport->drop_next(MsgType::kSubmitAck);
+  rig.transport->drop_next(MsgType::kSubmitResponse);
+  auto buf = std::make_shared<std::vector<std::byte>>(4096);
+  auto fut = rig.submit(fwd::FwdOp::Read, 0, iofa::Payload::wrap(buf));
+  ASSERT_EQ(fut.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(fut.get(), 4096u);
+  EXPECT_EQ((*buf)[0], std::byte{0x3C});
+  EXPECT_EQ((*buf)[4095], std::byte{0x3C});
+  EXPECT_GE(rig.counter("rpc.retries").value(), 1u);
+  EXPECT_GE(rig.counter("rpc.dedup_hits").value(), 1u);
+}
+
+TEST_P(RpcIonServerPath, AbandonedCallLeavesTheCacheBoundedByTheWindow) {
+  // A call whose response is lost stays pending at the stub and pins
+  // its mark, so the server keeps every later response until it leaves
+  // the dedup window: the window is the bound, as before the mark.
+  RpcOptions options;
+  options.dedup_window = 16;
+  ServerRig rig(link(), options);
+  ASSERT_EQ(rig.submit(fwd::FwdOp::Write, 0, block_of(0x77)).get(), 4096u);
+  rig.transport->drop_next(MsgType::kSubmitResponse);
+  auto lost_buf = std::make_shared<std::vector<std::byte>>(4096);
+  auto lost = rig.submit(fwd::FwdOp::Read, 0, iofa::Payload::wrap(lost_buf));
+  const double bound =
+      static_cast<double>(options.dedup_window) * read_response_bytes();
+  double last = 0.0;
+  for (int i = 0; i < 100; ++i) {
+    auto buf = std::make_shared<std::vector<std::byte>>(4096);
+    ASSERT_EQ(
+        rig.submit(fwd::FwdOp::Read, 0, iofa::Payload::wrap(buf)).get(),
+        4096u);
+    last = rig.cached_bytes();
+    ASSERT_LE(last, bound) << "read " << i;
+  }
+  EXPECT_EQ(lost.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+  EXPECT_GT(last, 2.0 * read_response_bytes());  // the mark is pinned
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, RpcIonServerPath, ::testing::Bool(),
